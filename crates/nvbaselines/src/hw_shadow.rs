@@ -167,7 +167,7 @@ impl MemorySystem for HwShadow {
         now: Cycle,
     ) -> AccessOutcome {
         let quiesce = self.core.pending_stall(core, now);
-        let (lat, value) = self.core.hier.access(core, op, addr, token);
+        let (lat, _, value) = self.core.hier.access(core, op, addr, token);
         let stall = self.handle_events(now + quiesce + lat);
         let persist_stall = quiesce + stall;
         self.core.stats.persist_stall_cycles += persist_stall;

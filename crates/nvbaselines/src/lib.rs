@@ -2,7 +2,8 @@
 //! no-snapshot system
 //!
 //! Each scheme implements [`nvsim::memsys::MemorySystem`] on top of the
-//! shared non-versioned MESI hierarchy ([`nvsim::hierarchy::Hierarchy`])
+//! shared coherence engine under its plain MESI/MOESI policy
+//! ([`nvsim::hierarchy::Hierarchy`])
 //! and models the persistence behaviour the paper ascribes to it (§VI-B):
 //!
 //! | Scheme | Module | Mechanism |

@@ -19,7 +19,8 @@
 //!    VD's current epoch.
 
 use super::hierarchy::VersionedHierarchy;
-use nvsim::addr::LineAddr;
+use crate::epoch::Epoch;
+use nvsim::addr::{LineAddr, VdId};
 use std::fmt;
 
 /// A violated invariant, with enough context to debug it.
@@ -108,57 +109,151 @@ impl fmt::Display for InvariantViolation {
     }
 }
 
-impl VersionedHierarchy {
-    /// Checks every invariant; returns all violations found (empty =
-    /// healthy). Quiescent-point use only.
-    pub fn check_invariants(&self) -> Vec<InvariantViolation> {
-        let mut v = Vec::new();
-        self.check_inclusion_and_order(&mut v);
-        self.check_writers(&mut v);
-        self.check_tag_windows(&mut v);
-        v
-    }
+/// Checks every invariant; returns all violations found.
+pub(crate) fn check(h: &VersionedHierarchy) -> Vec<InvariantViolation> {
+    let mut v = Vec::new();
+    check_inclusion_and_order(h, &mut v);
+    check_writers(h, &mut v);
+    check_tag_windows(h, &mut v);
+    v
+}
 
-    /// Panics with a readable report if any invariant is violated
-    /// (test helper).
-    ///
-    /// # Panics
-    /// Panics when [`VersionedHierarchy::check_invariants`] is non-empty.
-    pub fn assert_invariants(&self) {
-        let v = self.check_invariants();
-        assert!(
-            v.is_empty(),
-            "versioned hierarchy invariants violated:\n{}",
-            v.iter()
-                .map(|x| format!("  - {x}"))
-                .collect::<Vec<_>>()
-                .join("\n")
-        );
+/// Invariant 1 + 2: inclusion and L1-not-older-than-L2 (§IV-A2).
+fn check_inclusion_and_order(h: &VersionedHierarchy, out: &mut Vec<InvariantViolation>) {
+    use InvariantViolation as V;
+    for (core, l1) in h.l1s().iter().enumerate() {
+        let vd = core / h.config().cores_per_vd as usize;
+        for (line, m) in l1.iter() {
+            match h.l2s()[vd].peek(line) {
+                None => out.push(V::InclusionBroken {
+                    core: core as u16,
+                    line,
+                }),
+                Some(l2) => {
+                    if l2.oid.newer_than(m.oid) {
+                        out.push(V::VersionOrderBroken {
+                            core: core as u16,
+                            line,
+                            l1_oid: m.oid.raw(),
+                            l2_oid: l2.oid.raw(),
+                        });
+                    }
+                }
+            }
+        }
     }
+}
 
-    /// Hot-path validation hook, called by `NvOverlaySystem` at quiescent
-    /// points (epoch advances and the final drain).
-    ///
-    /// The checks are O(cache contents) — far too expensive for release
-    /// sweeps, which replay millions of accesses. This compiles to
-    /// nothing unless the build carries `debug_assertions` (every `cargo
-    /// test`) or the `strict-invariants` cargo feature (opt-in release
-    /// validation, forwarded from the workspace root as
-    /// `nvoverlay-suite/strict-invariants`).
-    ///
-    /// # Panics
-    /// As [`VersionedHierarchy::assert_invariants`], when enabled.
-    #[inline]
-    pub fn debug_validate(&self) {
-        #[cfg(any(debug_assertions, feature = "strict-invariants"))]
-        self.assert_invariants();
+/// Invariant 3: single writer per VD; exclusivity across VDs.
+fn check_writers(h: &VersionedHierarchy, out: &mut Vec<InvariantViolation>) {
+    use std::collections::HashMap;
+    use InvariantViolation as V;
+    // Per line: which VDs hold copies, and whether their L2 is M/E.
+    let mut holders: HashMap<LineAddr, Vec<(u16, bool)>> = HashMap::new();
+    for (vdix, l2) in h.l2s().iter().enumerate() {
+        for (line, m) in l2.iter() {
+            holders
+                .entry(line)
+                .or_default()
+                .push((vdix as u16, m.state.is_writable()));
+        }
+    }
+    for (line, hs) in &holders {
+        if let Some((w, _)) = hs.iter().find(|(_, writable)| *writable) {
+            if let Some((o, _)) = hs.iter().find(|(v, _)| v != w) {
+                out.push(V::WritableShared {
+                    line: *line,
+                    writer_vd: *w,
+                    other_vd: *o,
+                });
+            }
+        }
+    }
+    // At most one dirty (M or O) L2 copy of a line system-wide.
+    let mut dirty_l2: HashMap<LineAddr, Vec<u16>> = HashMap::new();
+    for (vdix, l2) in h.l2s().iter().enumerate() {
+        for (line, m) in l2.iter() {
+            if m.state.is_dirty() {
+                dirty_l2.entry(line).or_default().push(vdix as u16);
+            }
+        }
+    }
+    for (line, vds) in dirty_l2 {
+        if vds.len() > 1 {
+            out.push(V::WritableShared {
+                line,
+                writer_vd: vds[0],
+                other_vd: vds[1],
+            });
+        }
+    }
+    // Within each VD: at most one dirty L1 copy of a line.
+    for vd in 0..h.l2s().len() {
+        let mut dirty_seen: HashMap<LineAddr, u32> = HashMap::new();
+        for c in h.local_cores(VdId(vd as u16)) {
+            for (line, m) in h.l1s()[c as usize].iter() {
+                if m.state.is_dirty() {
+                    *dirty_seen.entry(line).or_default() += 1;
+                }
+            }
+        }
+        for (line, n) in dirty_seen {
+            if n > 1 {
+                out.push(V::MultipleWriters {
+                    vd: vd as u16,
+                    line,
+                });
+            }
+        }
+    }
+}
+
+/// Invariant 4 + 5: every cached tag reconstructs at or before its VD's
+/// current epoch (and hence within the half-space window).
+fn check_tag_windows(h: &VersionedHierarchy, out: &mut Vec<InvariantViolation>) {
+    use InvariantViolation as V;
+    for (vdix, cur_abs) in h.epochs().iter().enumerate() {
+        let cur = Epoch::from_abs(*cur_abs);
+        let check = |line: LineAddr, oid: Epoch, out: &mut Vec<_>| {
+            if oid.newer_than(cur) {
+                out.push(V::FutureVersion {
+                    vd: vdix as u16,
+                    line,
+                    oid: oid.raw(),
+                    cur: cur.raw(),
+                });
+            }
+        };
+        for (line, m) in h.l2s()[vdix].iter() {
+            check(line, m.oid, out);
+        }
+        for c in h.local_cores(VdId(vdix as u16)) {
+            for (line, m) in h.l1s()[c as usize].iter() {
+                check(line, m.oid, out);
+            }
+        }
+    }
+    // LLC tags must be at or before the global maximum epoch.
+    let max_abs = h.epochs().iter().copied().max().unwrap_or(1);
+    let max_tag = Epoch::from_abs(max_abs);
+    for slice in h.llc() {
+        for (line, m) in slice.iter() {
+            if m.oid.newer_than(max_tag) {
+                out.push(V::FutureVersion {
+                    vd: u16::MAX,
+                    line,
+                    oid: m.oid.raw(),
+                    cur: max_tag.raw(),
+                });
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cst::{AdvanceCause, CstConfig};
+    use crate::cst::{AdvanceCause, CstConfig, Versioned};
     use nvsim::addr::{Addr, CoreId, VdId};
     use nvsim::config::SimConfig;
     use nvsim::memsys::MemOp;

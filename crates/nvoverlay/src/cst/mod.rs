@@ -18,5 +18,7 @@
 pub mod hierarchy;
 pub mod invariants;
 
-pub use hierarchy::{AdvanceCause, CstConfig, CstEvent, VersionOut, VersionedHierarchy};
+pub use hierarchy::{
+    AdvanceCause, Cst, CstConfig, CstEvent, VersionOut, Versioned, VersionedHierarchy,
+};
 pub use invariants::InvariantViolation;

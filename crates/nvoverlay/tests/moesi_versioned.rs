@@ -1,7 +1,7 @@
 //! MOESI under the versioned hierarchy (paper §IV-E: the design extends
 //! to MOESI without modifying the state machine).
 
-use nvoverlay::cst::{AdvanceCause, CstConfig, CstEvent, VersionedHierarchy};
+use nvoverlay::cst::{AdvanceCause, CstConfig, CstEvent, Versioned, VersionedHierarchy};
 use nvoverlay::system::NvOverlaySystem;
 use nvsim::addr::{Addr, CoreId, ThreadId, VdId};
 use nvsim::config::Protocol;

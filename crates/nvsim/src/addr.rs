@@ -217,7 +217,7 @@ impl fmt::Display for CoreId {
 /// Identifies a Versioned Domain — a set of cores sharing an inclusive L2.
 ///
 /// In the paper's Fig. 2, two cores plus their shared L2 form one VD. With
-/// the baseline (non-versioned) hierarchy this is simply "an L2 cluster".
+/// the baselines' (unversioned) lines this is simply "an L2 cluster".
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct VdId(pub u16);
 

@@ -18,11 +18,12 @@
 //!   (data / log / mapping metadata / context), and bandwidth time series.
 //! * [`trace`] — per-thread memory access traces and deterministic
 //!   interleaving.
-//! * [`hierarchy`] — a complete non-versioned 3-level MESI hierarchy
+//! * [`hierarchy`] — the one 3-level MESI/MOESI coherence engine
 //!   (private L1s, per-domain inclusive L2s, distributed non-inclusive LLC
-//!   slices) with policy hooks. The five baseline schemes in `nvbaselines`
-//!   are built on it. NVOverlay's *versioned* hierarchy lives in the
-//!   `nvoverlay` crate and reuses the low-level blocks from here.
+//!   slices), generic over a line policy. The five baseline schemes in
+//!   `nvbaselines` run it under the plain [`hierarchy::Mesi`] policy;
+//!   NVOverlay runs it under the versioned CST policy defined in the
+//!   `nvoverlay` crate.
 //! * [`memsys`] — the [`memsys::MemorySystem`] trait every snapshotting
 //!   scheme implements, and the deterministic run loop.
 //! * [`fastmap`] — open-addressing maps and an Fx-style hasher for the

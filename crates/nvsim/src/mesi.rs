@@ -2,9 +2,9 @@
 //!
 //! The paper assumes directory-based MESI as the baseline protocol
 //! (§IV: "We assume directory-based MESI as the baseline protocol") and
-//! emphasises that NVOverlay does not modify the state machine. The same
-//! state enum is therefore shared by the baseline hierarchy in this crate
-//! and the versioned hierarchy in the `nvoverlay` crate.
+//! emphasises that NVOverlay does not modify the state machine. The one
+//! coherence engine in [`crate::hierarchy`] therefore runs this lattice
+//! for the baselines and for NVOverlay's versioned lines alike.
 
 use std::fmt;
 

@@ -1,4 +1,4 @@
-//! MOESI protocol variant tests for the baseline hierarchy.
+//! MOESI protocol variant tests for the coherence engine's baseline policy.
 
 use nvsim::addr::{Addr, CoreId, LineAddr};
 use nvsim::config::Protocol;
@@ -28,7 +28,7 @@ fn moesi_downgrade_keeps_dirty_data_in_place() {
     let mut h = Hierarchy::new(&cfg(Protocol::Moesi));
     h.access(CoreId(0), MemOp::Store, addr(5), 77);
     // Remote load: under MOESI, NO L2 write-back event is produced.
-    let (_, v) = h.access(CoreId(2), MemOp::Load, addr(5), 0);
+    let (_, _, v) = h.access(CoreId(2), MemOp::Load, addr(5), 0);
     assert_eq!(v, 77, "reader sees the owner's data");
     assert!(
         !h.events()
@@ -56,8 +56,8 @@ fn moesi_owner_upgrade_invalidates_sharers() {
     h.access(CoreId(4), MemOp::Load, addr(9), 0); // VD2 shares too
                                                   // Owner stores again: O -> M upgrade must invalidate VD1 and VD2.
     h.access(CoreId(0), MemOp::Store, addr(9), 2);
-    let (_, v1) = h.access(CoreId(2), MemOp::Load, addr(9), 0);
-    let (_, v2) = h.access(CoreId(4), MemOp::Load, addr(9), 0);
+    let (_, _, v1) = h.access(CoreId(2), MemOp::Load, addr(9), 0);
+    let (_, _, v2) = h.access(CoreId(4), MemOp::Load, addr(9), 0);
     assert_eq!(v1, 2, "stale sharer copy must have been invalidated");
     assert_eq!(v2, 2);
 }
@@ -69,7 +69,7 @@ fn moesi_foreign_store_takes_ownership_from_o() {
     h.access(CoreId(2), MemOp::Load, addr(3), 0); // VD0 O, VD1 S
     h.access(CoreId(4), MemOp::Store, addr(3), 20); // VD2 takes M
     for core in [0u16, 2, 4] {
-        let (_, v) = h.access(CoreId(core), MemOp::Load, addr(3), 0);
+        let (_, _, v) = h.access(CoreId(core), MemOp::Load, addr(3), 0);
         assert_eq!(v, 20, "core{core}");
     }
 }
@@ -85,7 +85,7 @@ fn moesi_o_eviction_lands_in_llc_dirty() {
     }
     // The data must still be visible everywhere.
     assert_eq!(h.newest_token(LineAddr::new(7)), 70);
-    let (_, v) = h.access(CoreId(4), MemOp::Load, addr(7), 0);
+    let (_, _, v) = h.access(CoreId(4), MemOp::Load, addr(7), 0);
     assert_eq!(v, 70);
 }
 
@@ -104,7 +104,7 @@ fn moesi_functional_correctness_random_mix() {
             h.access(core, MemOp::Store, addr(line), i + 1);
             model.insert(line, i + 1);
         } else {
-            let (_, v) = h.access(core, MemOp::Load, addr(line), 0);
+            let (_, _, v) = h.access(core, MemOp::Load, addr(line), 0);
             let expect = model.get(&line).copied().unwrap_or(0);
             assert_eq!(v, expect, "step {i}: stale load of line {line}");
         }

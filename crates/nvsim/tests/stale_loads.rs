@@ -26,7 +26,7 @@ fn plain_hierarchy_loads_match_model() {
                 h.access(core, MemOp::Store, Addr::new(line * 64), i + 1);
                 model.insert(line, i + 1);
             } else {
-                let (_, v) = h.access(core, MemOp::Load, Addr::new(line * 64), 0);
+                let (_, _, v) = h.access(core, MemOp::Load, Addr::new(line * 64), 0);
                 let expect = model.get(&line).copied().unwrap_or(0);
                 assert_eq!(
                     v, expect,

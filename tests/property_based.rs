@@ -190,7 +190,7 @@ fn cache_array_matches_model() {
 /// of ANY random access sequence.
 #[test]
 fn cst_invariants_hold_under_random_traffic() {
-    use nvoverlay_suite::overlay::cst::{AdvanceCause, CstConfig, VersionedHierarchy};
+    use nvoverlay_suite::overlay::cst::{AdvanceCause, CstConfig, Versioned, VersionedHierarchy};
     use nvoverlay_suite::sim::addr::{CoreId, VdId};
     use nvoverlay_suite::sim::memsys::MemOp;
     let mut rng = Rng64::seed_from_u64(0x07);
