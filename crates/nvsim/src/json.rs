@@ -97,6 +97,7 @@ impl std::error::Error for JsonError {}
 /// [`JsonError`] on malformed input or trailing garbage.
 pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
     let mut p = Parser {
+        src: input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -127,6 +128,7 @@ pub fn escape(s: &str) -> String {
 }
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -236,13 +238,17 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so
-                    // boundaries are valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or escape in one
+                    // slice. Both delimiters are ASCII, so the run ends on
+                    // a char boundary of the (valid UTF-8) source, and the
+                    // whole string is scanned once.
+                    let rest = self
+                        .src
+                        .get(self.pos..)
+                        .ok_or_else(|| self.err("invalid UTF-8"))?;
+                    let n = rest.find(['"', '\\']).unwrap_or(rest.len());
+                    out.push_str(&rest[..n]);
+                    self.pos += n;
                 }
             }
         }
@@ -334,6 +340,28 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("12 34").is_err());
         assert!(parse("\"open").is_err());
+    }
+
+    #[test]
+    fn parses_multi_byte_utf8_next_to_escapes() {
+        let doc = r#"{"k\u00e9y": "café \"日本\" 🦀\n\u00e9"}"#;
+        let v = parse(doc).unwrap();
+        assert_eq!(v.get("kéy").unwrap().as_str(), Some("café \"日本\" 🦀\né"));
+        assert!(parse(r#""\u00é1""#).is_err(), "non-hex \\u escape");
+    }
+
+    #[test]
+    fn parses_a_multi_megabyte_string() {
+        // 4 MiB of mixed-width characters with periodic escapes: the
+        // parser scans the string once, so this stays fast even
+        // unoptimized.
+        let unit = "abc\u{e9}\u{65e5}\u{1f980}\"\\\n";
+        let body: String = unit.repeat((4 << 20) / unit.len());
+        let doc = format!("[\"{}\", 1]", escape(&body));
+        let v = parse(&doc).unwrap();
+        let items = v.as_array().unwrap();
+        assert_eq!(items[0].as_str(), Some(body.as_str()));
+        assert_eq!(items[1].as_u64(), Some(1));
     }
 
     #[test]
