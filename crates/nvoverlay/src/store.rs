@@ -105,16 +105,57 @@ pub struct LineChange {
     pub after: Option<Token>,
 }
 
+/// Validates `epoch` as a servable snapshot, given the recoverable epoch
+/// and the captured epochs (ascending, each with whether it is still
+/// individually readable): non-zero, at or below the recoverable epoch,
+/// inside the epoch-sense window, and (when the epoch captured versions)
+/// with its tables still retained. The one resolver behind
+/// [`SnapshotStore::resolve_epoch`] and the serving layer's epoch
+/// directory.
+///
+/// # Errors
+/// Any [`QueryError`] variant; see each for the rejected class.
+pub fn resolve_epoch(
+    recoverable: u64,
+    epochs: &[(u64, bool)],
+    epoch: u64,
+) -> Result<u64, QueryError> {
+    if epoch == 0 {
+        return Err(QueryError::EpochZero);
+    }
+    if epoch > recoverable {
+        return Err(QueryError::NotYetRecoverable {
+            requested: epoch,
+            recoverable,
+        });
+    }
+    if recoverable - epoch >= EPOCH_SENSE_WINDOW {
+        return Err(QueryError::Wrapped {
+            requested: epoch,
+            recoverable,
+        });
+    }
+    match epochs.binary_search_by_key(&epoch, |&(e, _)| e) {
+        Ok(i) if !epochs[i].1 => Err(QueryError::NotRetained { epoch }),
+        _ => Ok(epoch),
+    }
+}
+
 /// Read-only, multi-epoch view over a snapshotted address space.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub struct SnapshotStore<'a> {
     mnm: &'a Mnm,
+    /// The backend's captured epochs, merged across OMCs once.
+    epochs: Vec<(u64, bool)>,
 }
 
 impl<'a> SnapshotStore<'a> {
     /// Opens a store over a backend.
     pub fn new(mnm: &'a Mnm) -> Self {
-        Self { mnm }
+        Self {
+            mnm,
+            epochs: mnm.epochs(),
+        }
     }
 
     /// The recoverable epoch (every epoch at or before it is durable).
@@ -124,8 +165,8 @@ impl<'a> SnapshotStore<'a> {
 
     /// Captured epochs, ascending, with whether each is individually
     /// readable (per-epoch table retained and not compacted).
-    pub fn epochs(&self) -> Vec<(u64, bool)> {
-        self.mnm.epochs()
+    pub fn epochs(&self) -> &[(u64, bool)] {
+        &self.epochs
     }
 
     /// Reads one line as of `epoch` (fall-through semantics, §V-E).
@@ -133,37 +174,13 @@ impl<'a> SnapshotStore<'a> {
         self.mnm.time_travel(line, epoch)
     }
 
-    /// Validates that `epoch` names a servable snapshot: non-zero, at or
-    /// below the recoverable epoch, inside the epoch-sense window, and
-    /// (when the epoch captured versions) with its tables still retained.
+    /// Validates that `epoch` names a servable snapshot (see
+    /// [`resolve_epoch`]).
     ///
     /// # Errors
     /// Any [`QueryError`] variant; see each for the rejected class.
     pub fn resolve_epoch(&self, epoch: u64) -> Result<u64, QueryError> {
-        if epoch == 0 {
-            return Err(QueryError::EpochZero);
-        }
-        let recoverable = self.recoverable_epoch();
-        if epoch > recoverable {
-            return Err(QueryError::NotYetRecoverable {
-                requested: epoch,
-                recoverable,
-            });
-        }
-        if recoverable - epoch >= EPOCH_SENSE_WINDOW {
-            return Err(QueryError::Wrapped {
-                requested: epoch,
-                recoverable,
-            });
-        }
-        if self
-            .epochs()
-            .iter()
-            .any(|(e, readable)| *e == epoch && !readable)
-        {
-            return Err(QueryError::NotRetained { epoch });
-        }
-        Ok(epoch)
+        resolve_epoch(self.recoverable_epoch(), &self.epochs, epoch)
     }
 
     /// [`SnapshotStore::read_at`] with the epoch validated first: the
@@ -194,7 +211,7 @@ impl<'a> SnapshotStore<'a> {
         assert!(from < to, "diff requires from < to");
         // Lines that could have changed = union of the deltas in (from, to].
         let mut candidates: FastHashMap<LineAddr, ()> = FastHashMap::default();
-        for (e, _) in self.epochs() {
+        for &(e, _) in self.epochs() {
             if e > from && e <= to {
                 for (l, _) in self.delta(e)? {
                     candidates.insert(l, ());

@@ -8,14 +8,14 @@
 //! snapshot epoch the OMCs retain — so that per-query epoch resolution
 //! never touches the OMCs' internal `BTreeMap`s.
 //!
-//! [`EpochDirectory::resolve`] enforces exactly the same rules as
-//! [`nvoverlay::SnapshotStore::resolve_epoch`] (epoch 0, not yet
-//! recoverable, outside the sense window, reclaimed) and returns the same
-//! typed [`QueryError`]s; a unit test pins the parity.
+//! [`EpochDirectory::resolve`] runs the store-level resolver
+//! ([`nvoverlay::store::resolve_epoch`]: epoch 0, not yet recoverable,
+//! outside the sense window, reclaimed) over the directory, returning the
+//! same typed [`QueryError`]s.
 
 use nvoverlay::mnm::Mnm;
 use nvoverlay::recovery::{recover_durable, RecoveryError};
-use nvoverlay::{QueryError, EPOCH_SENSE_WINDOW};
+use nvoverlay::QueryError;
 use nvsim::fastmap::FastMap;
 use nvsim::{LineAddr, Token};
 
@@ -129,35 +129,15 @@ impl EpochDirectory {
             .collect()
     }
 
-    /// Validates `epoch` as a query target, mirroring
-    /// [`nvoverlay::SnapshotStore::resolve_epoch`] exactly.
+    /// Validates `epoch` as a query target with the store-level
+    /// resolver, [`nvoverlay::store::resolve_epoch`].
     ///
     /// # Errors
-    /// The same [`QueryError`] taxonomy as the store-level resolver:
-    /// epoch 0, not yet recoverable, outside the 16-bit sense window, or
-    /// reclaimed/compacted away.
+    /// The store's [`QueryError`] taxonomy: epoch 0, not yet recoverable,
+    /// outside the 16-bit sense window, or reclaimed/compacted away.
     pub fn resolve(&self, epoch: u64) -> Result<EpochView, QueryError> {
-        if epoch == 0 {
-            return Err(QueryError::EpochZero);
-        }
-        if epoch > self.recoverable {
-            return Err(QueryError::NotYetRecoverable {
-                requested: epoch,
-                recoverable: self.recoverable,
-            });
-        }
-        if self.recoverable - epoch >= EPOCH_SENSE_WINDOW {
-            return Err(QueryError::Wrapped {
-                requested: epoch,
-                recoverable: self.recoverable,
-            });
-        }
-        if let Ok(i) = self.epochs.binary_search_by_key(&epoch, |&(e, _)| e) {
-            if !self.epochs[i].1 {
-                return Err(QueryError::NotRetained { epoch });
-            }
-        }
-        Ok(EpochView { epoch })
+        nvoverlay::store::resolve_epoch(self.recoverable, &self.epochs, epoch)
+            .map(|epoch| EpochView { epoch })
     }
 
     /// The retained epochs at or before `epoch` (ascending slice); the
@@ -360,20 +340,6 @@ mod tests {
             let shard = mnt.shard_of(line(l));
             assert_eq!(shard / mnt.subshards(), m.route(line(l)));
             assert!(shard < mnt.shards());
-        }
-    }
-
-    #[test]
-    fn directory_resolve_matches_snapshot_store() {
-        let (m, _n) = built(4, 8);
-        let dir = EpochDirectory::new(&m);
-        // Compare against the store-level resolver for a band of epochs
-        // around the recoverable range.
-        let store = nvoverlay::SnapshotStore::new(&m);
-        for e in 0..=dir.recoverable() + 3 {
-            let got = dir.resolve(e).map(|v| v.epoch());
-            let want = store.resolve_epoch(e);
-            assert_eq!(got, want, "epoch {e}");
         }
     }
 
