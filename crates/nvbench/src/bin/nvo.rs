@@ -102,7 +102,48 @@ fn exit_store(e: &StoreError) -> ! {
     })
 }
 
-fn parse_flags(args: &[String]) -> HashMap<String, String> {
+/// The flags each subcommand accepts (`workload` also arrives as the
+/// optional positional argument). Anything else is a usage error: a
+/// misspelt `--shrads 4` must not silently run serial.
+mod accepted {
+    pub const RUN: &str = "workload trace scale scheme shards no-coalesce json stats-out";
+    pub const TRACE_GEN: &str = "workload trace scale out";
+    pub const TRACE: &str = "workload trace scale scheme trace-out stats-out buffer-cap sample";
+    pub const SNAPSHOTS: &str = "workload trace scale";
+    pub const DIFF: &str = "workload trace scale from to";
+    pub const CHAOS: &str =
+        "workload trace scale scheme sites seed jobs torn-p flip-p stress-backpressure broken-recovery out json store";
+    pub const CHAOS_STORE: &str =
+        "workload trace scale store sites seed jobs torn-p flip-p out json";
+    pub const PROFILE: &str = "workload trace scale scheme shards out structural-out chrome json";
+    pub const SERVE: &str =
+        "workload trace scale sessions batches batch epochs workers cache-cap subshards seed theta no-probes out stats-out json";
+    pub const QUERY: &str = "workload trace scale key epoch";
+    pub const BACKUP: &str = "workload trace scale store name upto";
+    pub const RESTORE: &str = "store name verify";
+    pub const STORE: &str = "store name purge";
+    pub const PERF: &str = "jobs shards profile serve scale out serve-out baseline";
+}
+
+/// Rejects (exit 2) any flag of `flags` not in the space-separated
+/// `accepted` list.
+fn check_flags(flags: &HashMap<String, String>, accepted: &str) {
+    let mut unknown: Vec<&str> = flags
+        .keys()
+        .map(String::as_str)
+        .filter(|k| !accepted.split(' ').any(|a| a == *k))
+        .collect();
+    if !unknown.is_empty() {
+        unknown.sort_unstable();
+        eprintln!(
+            "unknown flag --{} for this subcommand",
+            unknown.join(", --")
+        );
+        usage();
+    }
+}
+
+fn parse_flags(args: &[String], accepted: &str) -> HashMap<String, String> {
     let mut out = HashMap::new();
     let mut i = 0;
     while i < args.len() {
@@ -137,6 +178,7 @@ fn parse_flags(args: &[String]) -> HashMap<String, String> {
             usage();
         }
     }
+    check_flags(&out, accepted);
     out
 }
 
@@ -455,6 +497,7 @@ fn cmd_diff(flags: HashMap<String, String>) {
 /// any site violates a consistency-cut invariant.
 fn cmd_chaos(flags: HashMap<String, String>) {
     if flags.contains_key("store") {
+        check_flags(&flags, accepted::CHAOS_STORE);
         return cmd_chaos_store(flags);
     }
     let scale = scale_of(&flags);
@@ -1026,7 +1069,7 @@ fn cmd_store(args: &[String]) {
         eprintln!("nvo store needs a subcommand: ls, rm, gc, or validate");
         usage();
     };
-    let flags = parse_flags(&args[1..]);
+    let flags = parse_flags(&args[1..], accepted::STORE);
     let dir = store_dir_of(&flags);
     match sub.as_str() {
         "ls" => {
@@ -1933,35 +1976,58 @@ fn default_host() -> usize {
 /// Parses `<subcommand> [<workload>] --flags ...` — an optional
 /// positional workload name before the flags (trace, chaos, profile,
 /// serve, and query all accept it).
-fn flags_with_positional_workload(args: &[String]) -> HashMap<String, String> {
+fn flags_with_positional_workload(args: &[String], accepted: &str) -> HashMap<String, String> {
     let (positional, rest) = match args.first() {
         Some(a) if !a.starts_with("--") => (Some(a.clone()), &args[1..]),
         _ => (None, args),
     };
-    let mut flags = parse_flags(rest);
+    let mut flags = parse_flags(rest, accepted);
     if let Some(w) = positional {
         flags.entry("workload".to_string()).or_insert(w);
     }
     flags
 }
 
+/// Exits quietly when stdout is a closed pipe (`nvo list | head`): a
+/// reader that stopped reading is not an error worth a panic trace.
+fn exit_quietly_on_broken_pipe() {
+    let default_hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        let msg = info
+            .payload()
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .unwrap_or("");
+        if msg.starts_with("failed printing to stdout") && msg.contains("Broken pipe") {
+            exit(0);
+        }
+        default_hook(info);
+    }));
+}
+
 fn main() {
+    exit_quietly_on_broken_pipe();
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let rest = args.get(1..).unwrap_or_default();
+    let positional = flags_with_positional_workload;
     match args.first().map(String::as_str) {
-        Some("list") => cmd_list(),
-        Some("run") => cmd_run(parse_flags(&args[1..])),
-        Some("trace-gen") => cmd_trace_gen(parse_flags(&args[1..])),
-        Some("trace") => cmd_trace(flags_with_positional_workload(&args[1..])),
-        Some("snapshots") => cmd_snapshots(parse_flags(&args[1..])),
-        Some("diff") => cmd_diff(parse_flags(&args[1..])),
-        Some("chaos") => cmd_chaos(flags_with_positional_workload(&args[1..])),
-        Some("profile") => cmd_profile(flags_with_positional_workload(&args[1..])),
-        Some("serve") => cmd_serve(flags_with_positional_workload(&args[1..])),
-        Some("query") => cmd_query(flags_with_positional_workload(&args[1..])),
-        Some("backup") => cmd_backup(flags_with_positional_workload(&args[1..])),
-        Some("restore") => cmd_restore(parse_flags(&args[1..])),
-        Some("store") => cmd_store(&args[1..]),
-        Some("perf") => cmd_perf(parse_flags(&args[1..])),
+        Some("list") => {
+            parse_flags(rest, "");
+            cmd_list()
+        }
+        Some("run") => cmd_run(parse_flags(rest, accepted::RUN)),
+        Some("trace-gen") => cmd_trace_gen(parse_flags(rest, accepted::TRACE_GEN)),
+        Some("trace") => cmd_trace(positional(rest, accepted::TRACE)),
+        Some("snapshots") => cmd_snapshots(parse_flags(rest, accepted::SNAPSHOTS)),
+        Some("diff") => cmd_diff(parse_flags(rest, accepted::DIFF)),
+        Some("chaos") => cmd_chaos(positional(rest, accepted::CHAOS)),
+        Some("profile") => cmd_profile(positional(rest, accepted::PROFILE)),
+        Some("serve") => cmd_serve(positional(rest, accepted::SERVE)),
+        Some("query") => cmd_query(positional(rest, accepted::QUERY)),
+        Some("backup") => cmd_backup(positional(rest, accepted::BACKUP)),
+        Some("restore") => cmd_restore(parse_flags(rest, accepted::RESTORE)),
+        Some("store") => cmd_store(rest),
+        Some("perf") => cmd_perf(parse_flags(rest, accepted::PERF)),
         _ => usage(),
     }
 }

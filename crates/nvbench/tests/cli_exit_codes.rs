@@ -4,7 +4,7 @@
 //! scripts and CI can grep the class without parsing prose.
 
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn nvo(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_nvo"))
@@ -29,6 +29,42 @@ fn usage_errors_exit_2() {
     assert_eq!(out.status.code(), Some(2));
     let out = nvo(&["restore"]); // --store is required
     assert_eq!(out.status.code(), Some(2));
+}
+
+#[test]
+fn unknown_flags_are_usage_errors() {
+    // A misspelt flag must not silently fall back to a default run.
+    let out = nvo(&[
+        "run",
+        "--workload",
+        "kmeans",
+        "--scheme",
+        "Ideal",
+        "--shrads",
+        "4",
+    ]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(stderr_of(&out).contains("unknown flag --shrads"));
+    // A flag of another subcommand is unknown here too.
+    let out = nvo(&["list", "--verify"]);
+    assert_eq!(out.status.code(), Some(2));
+    let out = nvo(&["chaos", "kmeans", "--store", "--scheme", "nvoverlay"]);
+    assert_eq!(out.status.code(), Some(2));
+}
+
+#[test]
+fn closed_stdout_exits_quietly() {
+    // `nvo list | head`: the reader goes away before nvo prints.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_nvo"))
+        .arg("list")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("nvo binary runs");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("nvo exits");
+    assert_eq!(out.status.code(), Some(0));
+    assert_eq!(stderr_of(&out), "", "no panic report on a broken pipe");
 }
 
 #[test]
